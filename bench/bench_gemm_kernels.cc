@@ -80,7 +80,7 @@ double BestMs(const Fn& fn, int min_reps = 3) {
 
 struct Case {
   // matmul | matmul_bt | matmul_at | matmul_packed | naive_matmul |
-  // matmul_int8 | matmul_bf16
+  // matmul_int8
   const char* kernel;
   int64_t m, k, n;
 };
@@ -111,8 +111,6 @@ void RunCase(const Case& c, int threads, std::vector<BenchRecord>* out) {
   const PackedInt8Matrix packed8 = kernel == "matmul_int8"
                                        ? PackForMatMulInt8(b).value()
                                        : PackedInt8Matrix{};
-  const Bf16Matrix b16 =
-      kernel == "matmul_bf16" ? Bf16FromTensor(b) : Bf16Matrix{};
   float sink = 0.0f;
   auto run = [&] {
     Tensor r;
@@ -126,8 +124,6 @@ void RunCase(const Case& c, int threads, std::vector<BenchRecord>* out) {
       r = MatMulPacked(a, packed);
     } else if (kernel == "matmul_int8") {
       r = MatMulInt8(a, packed8);
-    } else if (kernel == "matmul_bf16") {
-      r = MatMulBf16(a, b16);
     } else {
       r = NaiveMatMul(a, b);
     }
@@ -202,49 +198,37 @@ void RunLinearCase(int64_t batch, int64_t in, int64_t out_dim, int threads,
 }
 
 /// Storage-codec accuracy: quantize→dequantize round-trip error of a
-/// standard-normal matrix through each low-precision representation,
-/// recorded alongside the throughput numbers so accuracy regressions in
-/// the codecs show up in the same cross-PR diff.
+/// standard-normal matrix through the int8 representation, recorded
+/// alongside the throughput numbers so accuracy regressions in the codec
+/// show up in the same cross-PR diff.
 void RunRoundTripCase(int64_t rows, int64_t cols,
                       std::vector<BenchRecord>* out) {
   Rng rng(11);
   Tensor t = RandomTensor(rows, cols, &rng);
-  struct Codec {
-    const char* name;
-    Tensor restored;
-    double bytes;
-  };
   auto q = QuantizedTensor::FromTensor(t).value();
-  Bf16Matrix h = Bf16FromTensor(t);
-  std::vector<Codec> codecs;
-  codecs.push_back({"int8", q.Dequantize(), static_cast<double>(q.bytes())});
-  codecs.push_back(
-      {"bf16", TensorFromBf16(h), static_cast<double>(h.bytes())});
-  const double fp32_bytes = static_cast<double>(t.numel()) * sizeof(float);
-  for (const Codec& c : codecs) {
-    double max_err = 0.0, sum_err = 0.0;
-    for (int64_t i = 0; i < t.numel(); ++i) {
-      const double e = std::fabs(static_cast<double>(c.restored.data()[i]) -
-                                 static_cast<double>(t.data()[i]));
-      max_err = max_err > e ? max_err : e;
-      sum_err += e;
-    }
-    BenchRecord rec;
-    rec.name = StrFormat("roundtrip_%s_%" PRId64 "x%" PRId64, c.name, rows,
-                         cols);
-    rec.wall_ms = 0.0;
-    rec.rate = 0.0;
-    rec.threads = 1;
-    rec.extra.emplace_back("max_abs_err", max_err);
-    rec.extra.emplace_back("mean_abs_err",
-                           sum_err / static_cast<double>(t.numel()));
-    rec.extra.emplace_back("bytes_ratio_vs_fp32", c.bytes / fp32_bytes);
-    out->push_back(rec);
-    std::printf("%-32s max|err| %.6f mean|err| %.6f bytes %.3fx\n",
-                rec.name.c_str(), max_err,
-                sum_err / static_cast<double>(t.numel()),
-                c.bytes / fp32_bytes);
+  const Tensor restored = q.Dequantize();
+  const double bytes_ratio = static_cast<double>(q.bytes()) /
+                             (static_cast<double>(t.numel()) * sizeof(float));
+  double max_err = 0.0, sum_err = 0.0;
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    const double e = std::fabs(static_cast<double>(restored.data()[i]) -
+                               static_cast<double>(t.data()[i]));
+    max_err = max_err > e ? max_err : e;
+    sum_err += e;
   }
+  BenchRecord rec;
+  rec.name = StrFormat("roundtrip_int8_%" PRId64 "x%" PRId64, rows, cols);
+  rec.wall_ms = 0.0;
+  rec.rate = 0.0;
+  rec.threads = 1;
+  rec.extra.emplace_back("max_abs_err", max_err);
+  rec.extra.emplace_back("mean_abs_err",
+                         sum_err / static_cast<double>(t.numel()));
+  rec.extra.emplace_back("bytes_ratio_vs_fp32", bytes_ratio);
+  out->push_back(rec);
+  std::printf("%-32s max|err| %.6f mean|err| %.6f bytes %.3fx\n",
+              rec.name.c_str(), max_err,
+              sum_err / static_cast<double>(t.numel()), bytes_ratio);
 }
 
 }  // namespace
@@ -263,14 +247,11 @@ int main(int argc, char** argv) {
       {"matmul", 128, 64, 64},
       {"matmul", 2048, 128, 128},
       {"matmul_packed", 2048, 128, 128},
-      // Low-precision kernels at the headline shape plus odd widths
+      // The int8 kernel at the headline shape plus odd widths
       // (n % 8 != 0 and n % 16 != 0) that exercise the panel/vector tails.
       {"matmul_int8", 512, 512, 512},
       {"matmul_int8", 512, 512, 509},
       {"matmul_int8", 2048, 128, 100},
-      {"matmul_bf16", 512, 512, 512},
-      {"matmul_bf16", 512, 512, 509},
-      {"matmul_bf16", 2048, 128, 100},
   };
   std::vector<BenchRecord> records;
   std::printf("=== GEMM kernels (best-of-N wall time, %s build) ===\n",

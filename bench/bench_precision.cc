@@ -2,7 +2,7 @@
 //
 // Trains one churn classifier (binary, AUC) and one order-count regressor
 // (MAE) on the e-commerce generator, then serves the held-out test
-// entities at each precision mode (fp32 | bf16 | int8), on both the fp32
+// entities at each precision mode (fp32 | int8), on both the fp32
 // feature graph and the int8-quantized feature graph. For every
 // configuration it records the task metric, its delta vs the fp32/fp32
 // baseline, serving throughput, and the snapshot's bytes-per-node — the
@@ -110,8 +110,7 @@ void RunTask(const TaskSetup& task, const Database& db,
   double fp32_metric = 0.0;
   for (const bool quantized_graph : {false, true}) {
     const HeteroGraph* graph = quantized_graph ? &qdbg.graph : &dbg.graph;
-    for (Precision p :
-         {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+    for (Precision p : {Precision::kFp32, Precision::kInt8}) {
       ServeOptions serve;
       serve.precision = p;
       InferenceEngine engine(graph, entity, table.kind, table.num_classes,
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
   std::vector<BenchRecord> records;
   for (const TaskSetup& task : tasks) RunTask(task, db, &records);
   if (records.empty()) return 1;
-  const bool ok_serve = AppendBenchJson(serve_path, "serve", records);
-  const bool ok_gemm = AppendBenchJson(gemm_path, "gemm_kernels", records);
+  const bool ok_serve = WriteBenchJson(serve_path, "serve", records);
+  const bool ok_gemm = WriteBenchJson(gemm_path, "gemm_kernels", records);
   return ok_serve && ok_gemm ? 0 : 1;
 }

@@ -297,5 +297,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "WARNING: coalescing did not improve contended p99\n");
   }
-  return AppendBenchJson(out_path, "serve_coalesce", records) ? 0 : 1;
+  return WriteBenchJson(out_path, "serve_coalesce", records) ? 0 : 1;
 }

@@ -278,5 +278,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "WARNING: flood never exceeded the gate's capacity\n");
   }
-  return AppendBenchJson(out_path, "serve_overload", records) ? 0 : 1;
+  return WriteBenchJson(out_path, "serve_overload", records) ? 0 : 1;
 }

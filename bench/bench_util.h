@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -113,57 +115,65 @@ inline std::string FormatBenchRecord(const BenchRecord& r) {
   return json;
 }
 
-/// Writes machine-readable benchmark output. The JSON shape is stable —
-/// perf tracking across PRs diffs these files directly:
+/// Writes machine-readable benchmark output into one BENCH_*.json shared
+/// by every bench of an area. The JSON shape is stable — perf tracking
+/// across PRs diffs these files directly:
 ///   {"bench": "...", "results": [{"name": ..., "wall_ms": ...,
 ///     "rows_per_s": ..., "threads": ..., ...extras}, ...]}
+/// An existing file keeps its header and every record this call does not
+/// name; a record whose name is already present replaces it in place, and
+/// new names are appended. `bench` labels a file this call creates (or
+/// one not in the expected one-record-per-line shape, which is rewritten).
 /// Returns false (after printing the error) if the write fails.
 inline bool WriteBenchJson(const std::string& path, const std::string& bench,
                            const std::vector<BenchRecord>& records) {
-  std::string json = "{\n  \"bench\": \"" + bench + "\",\n  \"results\": [";
-  for (size_t i = 0; i < records.size(); ++i) {
-    json += i == 0 ? "\n" : ",\n";
-    json += FormatBenchRecord(records[i]);
+  static constexpr std::string_view kOpen = "\"results\": [\n";
+  static constexpr std::string_view kNamePrefix = "    {\"name\": \"";
+  std::ifstream in(path);
+  const std::string existing((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  // (name, formatted line) in file order.
+  std::vector<std::pair<std::string, std::string>> lines;
+  auto upsert = [&lines](std::string name, std::string line) {
+    for (auto& [n, l] : lines) {
+      if (n == name) {
+        l = std::move(line);
+        return;
+      }
+    }
+    lines.emplace_back(std::move(name), std::move(line));
+  };
+  std::string header = "{\n  \"bench\": \"" + bench + "\",\n  ";
+  const size_t open = existing.find(kOpen);
+  const size_t close = existing.rfind("  ]\n}");
+  if (open != std::string::npos && close != std::string::npos &&
+      close >= open + kOpen.size()) {
+    header = existing.substr(0, open);
+    std::istringstream body(existing.substr(
+        open + kOpen.size(), close - open - kOpen.size()));
+    for (std::string line; std::getline(body, line);) {
+      if (!line.empty() && line.back() == ',') line.pop_back();
+      if (line.rfind(kNamePrefix, 0) != 0) continue;
+      const size_t end = line.find('"', kNamePrefix.size());
+      if (end == std::string::npos) continue;
+      upsert(line.substr(kNamePrefix.size(), end - kNamePrefix.size()),
+             line);
+    }
   }
-  json += "\n  ]\n}\n";
+  for (const BenchRecord& r : records) upsert(r.name, FormatBenchRecord(r));
+  std::string json = header + std::string(kOpen);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    json += lines[i].second + (i + 1 < lines.size() ? ",\n" : "\n");
+  }
+  json += "  ]\n}\n";
   Status st = AtomicWriteFile(path, json);
   if (!st.ok()) {
     std::fprintf(stderr, "failed to write %s: %s\n", path.c_str(),
                  st.ToString().c_str());
     return false;
   }
-  std::printf("wrote %s (%zu records)\n", path.c_str(), records.size());
-  return true;
-}
-
-/// Splices records into an existing WriteBenchJson file so several bench
-/// binaries can share one BENCH_*.json (e.g. bench_serve_overload appends
-/// to the file bench_serve_throughput writes). Falls back to a fresh
-/// WriteBenchJson when the file is missing or not in the expected shape.
-inline bool AppendBenchJson(const std::string& path, const std::string& bench,
-                            const std::vector<BenchRecord>& records) {
-  std::ifstream in(path);
-  std::string existing((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  const size_t tail = existing.rfind("\n  ]\n}");
-  if (existing.empty() || tail == std::string::npos || tail == 0) {
-    return WriteBenchJson(path, bench, records);
-  }
-  std::string body;
-  bool first = existing[tail - 1] == '[';  // existing results array is empty
-  for (const BenchRecord& r : records) {
-    body += first ? "\n" : ",\n";
-    first = false;
-    body += FormatBenchRecord(r);
-  }
-  existing.insert(tail, body);
-  Status st = AtomicWriteFile(path, existing);
-  if (!st.ok()) {
-    std::fprintf(stderr, "failed to append to %s: %s\n", path.c_str(),
-                 st.ToString().c_str());
-    return false;
-  }
-  std::printf("appended %zu records to %s\n", records.size(), path.c_str());
+  std::printf("wrote %zu records to %s (%zu in file)\n", records.size(),
+              path.c_str(), lines.size());
   return true;
 }
 

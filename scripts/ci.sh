@@ -11,7 +11,11 @@
 #   scripts/ci.sh chaos      # fault-injection chaos tests under ASan,
 #                            # then under TSan (serving must stay
 #                            # crash-free and race-free while faults fire)
+#   scripts/ci.sh bench-smoke  # the repo benchmark (perfbench/) at tiny
+#                            # sizes: every workload builds, runs, passes
+#                            # its correctness gates and emits its metrics
 #   scripts/ci.sh all        # default full + nosimd + asan + tsan + chaos
+#                            # + bench-smoke
 #
 # Test lanes are ctest labels (see tests/CMakeLists.txt): unit |
 # baselines | integration | serve | serve_mt | streaming | quant | chaos |
@@ -94,15 +98,21 @@ case "$MODE" in
     TSAN_OPTIONS="halt_on_error=1" build-tsan/tests/chaos_test
     TSAN_OPTIONS="halt_on_error=1" build-tsan/tests/streaming_serve_test
     ;;
+  bench-smoke)
+    # Builds perfbench into its own directory and exits non-zero unless
+    # every workload passes in both the plain and the traced mode.
+    python3 perfbench/run.py --smoke
+    ;;
   all)
     "$0" full
     "$0" nosimd
     "$0" asan
     "$0" tsan
     "$0" chaos
+    "$0" bench-smoke
     ;;
   *)
-    echo "usage: $0 [unit|full|nosimd|asan|tsan|serve_mt|chaos|all]" >&2
+    echo "usage: $0 [unit|full|nosimd|asan|tsan|serve_mt|chaos|bench-smoke|all]" >&2
     exit 2
     ;;
 esac

@@ -130,9 +130,22 @@ void FloatBufferPool::Clear() {
   }
 }
 
-QuantBytesRegistry& QuantBytesRegistry::Global() {
-  static QuantBytesRegistry* reg = new QuantBytesRegistry();  // leaked
-  return *reg;
+namespace {
+// Constant-initialized with a trivial destructor, so it is usable from
+// any static constructor or destructor.
+std::atomic<int64_t> g_quant_resident_bytes{0};
+}  // namespace
+
+int64_t QuantResidentBytes() {
+  return g_quant_resident_bytes.load(std::memory_order_relaxed);
+}
+
+void ScopedQuantBytes::Reset(int64_t bytes) {
+  if (bytes != bytes_) {
+    g_quant_resident_bytes.fetch_add(bytes - bytes_,
+                                     std::memory_order_relaxed);
+  }
+  bytes_ = bytes;
 }
 
 }  // namespace relgraph

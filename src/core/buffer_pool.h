@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace relgraph {
@@ -91,91 +92,39 @@ class FloatBufferPool {
   std::atomic<int64_t> pooled_bytes_{0};
 };
 
-/// The low-precision storage dtypes the memory accountant distinguishes.
-/// fp32 tensor storage is already covered by FloatBufferPool stats; these
-/// counters track the payload bytes of quantized/bf16 representations
-/// (node-feature matrices, packed int8 weights, encoded embedding-cache
-/// entries) so footprint wins are observable, not asserted.
-enum class QuantDtype : int { kInt8 = 0, kBf16 = 1 };
+/// Live payload bytes of every int8 representation: quantized
+/// node-feature matrices, packed int8 weights and encoded embedding-cache
+/// entries. fp32 tensor storage is already covered by FloatBufferPool
+/// stats; this counter makes the low-precision footprint observable, not
+/// asserted. Containers hold their bytes through ScopedQuantBytes, so the
+/// value is exact at any instant. A relaxed atomic — cheap enough to
+/// leave always-on.
+int64_t QuantResidentBytes();
 
-/// Process-wide per-dtype bytes-resident registry. Quantized containers
-/// register their payload size on construction and deregister on
-/// destruction via ScopedQuantBytes; `resident()` is therefore the exact
-/// number of live low-precision payload bytes at any instant. All
-/// counters are relaxed atomics — cheap enough to leave always-on.
-class QuantBytesRegistry {
- public:
-  static QuantBytesRegistry& Global();
-
-  void Add(QuantDtype d, int64_t bytes) {
-    resident_[static_cast<int>(d)].fetch_add(bytes,
-                                             std::memory_order_relaxed);
-  }
-  void Sub(QuantDtype d, int64_t bytes) {
-    resident_[static_cast<int>(d)].fetch_sub(bytes,
-                                             std::memory_order_relaxed);
-  }
-
-  /// Live payload bytes of the given dtype.
-  int64_t resident(QuantDtype d) const {
-    return resident_[static_cast<int>(d)].load(std::memory_order_relaxed);
-  }
-
-  /// Live payload bytes across all low-precision dtypes.
-  int64_t total_resident() const {
-    int64_t total = 0;
-    for (const auto& c : resident_) {
-      total += c.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  QuantBytesRegistry() = default;
-  std::atomic<int64_t> resident_[2]{};
-};
-
-/// RAII byte registration: holds `bytes` against one dtype's resident
-/// counter for its lifetime. Movable (transfer of ownership), not
-/// copyable; `Reset` re-registers after a payload is (re)built.
+/// RAII byte registration: holds `bytes()` against QuantResidentBytes
+/// for its lifetime. Movable (transfer of ownership), not copyable;
+/// `Reset` re-registers after a payload is (re)built.
 class ScopedQuantBytes {
  public:
   ScopedQuantBytes() = default;
-  ScopedQuantBytes(QuantDtype d, int64_t bytes) : dtype_(d), bytes_(bytes) {
-    if (bytes_ > 0) QuantBytesRegistry::Global().Add(dtype_, bytes_);
-  }
-  ~ScopedQuantBytes() { Release(); }
+  ~ScopedQuantBytes() { Reset(0); }
   ScopedQuantBytes(ScopedQuantBytes&& o) noexcept
-      : dtype_(o.dtype_), bytes_(o.bytes_) {
-    o.bytes_ = 0;
-  }
+      : bytes_(std::exchange(o.bytes_, 0)) {}
   ScopedQuantBytes& operator=(ScopedQuantBytes&& o) noexcept {
     if (this != &o) {
-      Release();
-      dtype_ = o.dtype_;
-      bytes_ = o.bytes_;
-      o.bytes_ = 0;
+      Reset(0);
+      bytes_ = std::exchange(o.bytes_, 0);
     }
     return *this;
   }
   ScopedQuantBytes(const ScopedQuantBytes&) = delete;
   ScopedQuantBytes& operator=(const ScopedQuantBytes&) = delete;
 
-  void Reset(QuantDtype d, int64_t bytes) {
-    Release();
-    dtype_ = d;
-    bytes_ = bytes;
-    if (bytes_ > 0) QuantBytesRegistry::Global().Add(dtype_, bytes_);
-  }
+  void Reset(int64_t bytes);
 
   int64_t bytes() const { return bytes_; }
 
  private:
-  void Release() {
-    if (bytes_ > 0) QuantBytesRegistry::Global().Sub(dtype_, bytes_);
-    bytes_ = 0;
-  }
-  QuantDtype dtype_ = QuantDtype::kInt8;
   int64_t bytes_ = 0;
 };
 

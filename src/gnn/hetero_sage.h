@@ -81,7 +81,7 @@ class HeteroSageModel : public Module {
   /// different snapshot versions can run at once.
   ///
   /// `precision` selects the storage precision of every Linear in the
-  /// encoder (kFp32 is exactly the training forward; kBf16/kInt8 are
+  /// encoder (kFp32 is exactly the training forward; kInt8 is
   /// inference-only — `training` must be false). Node features stored
   /// quantized on `graph` are dequantized per element regardless of
   /// `precision` (feature storage and compute precision are independent

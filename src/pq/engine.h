@@ -41,7 +41,7 @@ struct ServePlan {
   Timestamp now_cutoff = 0;
 
   /// Numeric precision the InferenceEngine serves this query at
-  /// (WITH precision='fp32'|'bf16'|'int8'; default fp32). Like `seed`,
+  /// (WITH precision='fp32'|'int8'; default fp32). Like `seed`,
   /// the plan's value overrides ServeOptions when an engine is built from
   /// the plan; the RELGRAPH_PRECISION env var overrides both.
   Precision precision = Precision::kFp32;

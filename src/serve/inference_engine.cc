@@ -86,7 +86,7 @@ double SnapshotBytesPerNode(const HeteroGraph* graph) {
 }
 
 // RELGRAPH_PRECISION beats the configured (options or plan) precision, so
-// CI lanes and operators can flip a serving binary to bf16/int8 without a
+// CI lanes and operators can flip a serving binary to int8 without a
 // code or config change. An invalid value is loudly ignored rather than
 // fatal, mirroring RELGRAPH_FAULTS.
 Precision ResolvePrecision(Precision configured) {
@@ -94,8 +94,8 @@ Precision ResolvePrecision(Precision configured) {
   if (env == nullptr || *env == '\0') return configured;
   Result<Precision> parsed = ParsePrecision(env);
   if (!parsed.ok()) {
-    RELGRAPH_LOG(Error) << "ignoring invalid RELGRAPH_PRECISION='" << env
-                        << "' (want fp32 | bf16 | int8)";
+    RELGRAPH_LOG(Error) << "ignoring invalid RELGRAPH_PRECISION: "
+                        << parsed.status().message();
     return configured;
   }
   if (parsed.value() != configured) {
@@ -299,7 +299,7 @@ Status InferenceEngine::LoadCheckpoint(const std::string& path) {
   if (bundle.scalars.size() != 3) {
     return Status::InvalidArgument("checkpoint scalar block malformed");
   }
-  // Low-precision modes quantize the weights (per-column max-abs scales);
+  // int8 mode quantizes the weights (per-column max-abs scales);
   // one NaN or inf would poison a whole column's scale, so reject the
   // checkpoint up front with a precise location instead of serving
   // garbage. fp32 mode keeps the historical behavior (no scan).

@@ -104,11 +104,10 @@ struct ServeOptions {
 
   /// Numeric precision of the serving forward and embedding cache:
   ///   fp32  exactly today's pipeline (scores byte-equal to the goldens);
-  ///   bf16  weights stored/applied as bf16, embeddings cached as bf16;
   ///   int8  weights packed int8, embeddings cached as symmetric int8.
   /// Overridden by the ServePlan's precision when the engine is built
   /// from a plan, and by the RELGRAPH_PRECISION env var above both (so
-  /// chaos/serve lanes can exercise non-fp32 modes without code changes;
+  /// chaos/serve lanes can exercise int8 without code changes;
   /// an invalid env value is loudly ignored). In every mode each freshly
   /// computed embedding row is canonicalized through its storage encoding
   /// before use, so cache hits, misses and disabled caches all see
@@ -592,7 +591,7 @@ class InferenceEngine {
                   SubgraphKeyHash>
       subgraph_cache_;
   /// Values are stored at serve_.precision (EncodedEmbedding): fp32
-  /// encodes losslessly, bf16/int8 quarter-to-halve cache residency. The
+  /// encodes losslessly, int8 quarters cache residency. The
   /// scoring path canonicalizes every fresh row through Encode→Decode, so
   /// hit and miss rows are byte-identical.
   ShardedLruCache<EmbeddingKey, std::shared_ptr<const EncodedEmbedding>,

@@ -82,26 +82,13 @@ std::shared_ptr<const PackedInt8Matrix> Linear::GetPackedInt8Weight() const {
   return packed_int8_;
 }
 
-std::shared_ptr<const Bf16Matrix> Linear::GetBf16Weight() const {
-  std::lock_guard<std::mutex> lock(pack_mu_);
-  const int64_t v = weight_->value_version();
-  if (bf16_ == nullptr || bf16_version_ != v) {
-    bf16_ = std::make_shared<const Bf16Matrix>(
-        Bf16FromTensor(weight_->value()));
-    bf16_version_ = v;
-  }
-  return bf16_;
-}
-
 VarPtr Linear::ForwardWithPrecision(const VarPtr& x,
                                     Precision precision) const {
   if (precision == Precision::kFp32) return Forward(x);
   RELGRAPH_CHECK(x->cols() == in_features_)
       << "Linear expected " << in_features_ << " features, got " << x->cols();
-  Tensor y = precision == Precision::kInt8
-                 ? MatMulInt8(x->value(), *GetPackedInt8Weight())
-                 : MatMulBf16(x->value(), *GetBf16Weight());
-  VarPtr out = ag::Constant(std::move(y));
+  VarPtr out =
+      ag::Constant(MatMulInt8(x->value(), *GetPackedInt8Weight()));
   if (bias_) out = ag::AddBias(out, bias_);
   return out;
 }

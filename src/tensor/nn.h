@@ -51,10 +51,10 @@ class Linear : public Module {
   VarPtr Forward(const VarPtr& x) const;
 
   /// Inference-only forward at a chosen storage precision. kFp32 is
-  /// exactly Forward(x); kInt8/kBf16 run the quantized GEMMs against
-  /// version-cached packed weights and return a constant (no autograd
+  /// exactly Forward(x); kInt8 runs the int8 GEMM against the
+  /// version-cached packed weight and returns a constant (no autograd
   /// tape — low-precision forwards never train). Weights must be finite
-  /// for non-fp32 modes (the serving loader validates checkpoints).
+  /// for kInt8 (the serving loader validates checkpoints).
   VarPtr ForwardWithPrecision(const VarPtr& x, Precision precision) const;
 
   std::vector<VarPtr> Parameters() const override;
@@ -74,9 +74,6 @@ class Linear : public Module {
   /// the same value_version invalidation as GetPackedWeight.
   std::shared_ptr<const PackedInt8Matrix> GetPackedInt8Weight() const;
 
-  /// The weight stored as bf16, same invalidation discipline.
-  std::shared_ptr<const Bf16Matrix> GetBf16Weight() const;
-
  private:
   int64_t in_features_;
   int64_t out_features_;
@@ -88,8 +85,6 @@ class Linear : public Module {
   mutable int64_t packed_version_ = -1;
   mutable std::shared_ptr<const PackedInt8Matrix> packed_int8_;
   mutable int64_t packed_int8_version_ = -1;
-  mutable std::shared_ptr<const Bf16Matrix> bf16_;
-  mutable int64_t bf16_version_ = -1;
 };
 
 /// Learnable lookup table mapping integer ids to dense rows.

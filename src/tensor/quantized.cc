@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "core/logging.h"
-#include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/string_util.h"
 #include "tensor/simd_kernels.h"
@@ -13,10 +12,6 @@ namespace relgraph {
 
 namespace {
 
-// Mirrors the MatMul dispatch knobs in tensor.cc: same serial threshold,
-// same row grain, so the low-precision GEMMs route exactly like fp32.
-constexpr int64_t kGemmSerialFlops = 1 << 15;
-constexpr int64_t kGemmRowGrain = 8;
 constexpr int64_t kQuantRowGrain = 64;
 
 /// First non-finite element of `t`, or ok. The error names the exact
@@ -42,7 +37,6 @@ Status CheckAllFinite(const Tensor& t, const char* what) {
 const char* PrecisionName(Precision p) {
   switch (p) {
     case Precision::kFp32: return "fp32";
-    case Precision::kBf16: return "bf16";
     case Precision::kInt8: return "int8";
   }
   return "fp32";
@@ -50,10 +44,9 @@ const char* PrecisionName(Precision p) {
 
 Result<Precision> ParsePrecision(const std::string& s) {
   if (s == "fp32") return Precision::kFp32;
-  if (s == "bf16") return Precision::kBf16;
   if (s == "int8") return Precision::kInt8;
   return Status::InvalidArgument("unknown precision '" + s +
-                                 "' (want fp32 | bf16 | int8)");
+                                 "' (want fp32 | int8)");
 }
 
 Result<QuantizedTensor> QuantizedTensor::FromTensor(const Tensor& t) {
@@ -75,7 +68,7 @@ Result<QuantizedTensor> QuantizedTensor::FromTensor(const Tensor& t) {
                            scales + r);
     }
   });
-  q.accounted_.Reset(QuantDtype::kInt8, q.bytes());
+  q.accounted_.Reset(q.bytes());
   return q;
 }
 
@@ -112,7 +105,7 @@ Status QuantizedTensor::AppendRows(const Tensor& block) {
                          scales_.data() + old_rows + static_cast<size_t>(r));
   }
   rows_ += block.rows();
-  accounted_.Reset(QuantDtype::kInt8, bytes());
+  accounted_.Reset(bytes());
   return Status::OK();
 }
 
@@ -122,7 +115,7 @@ QuantizedTensor QuantizedTensor::Clone() const {
   q.cols_ = cols_;
   q.scales_ = scales_;
   q.data_ = data_;
-  q.accounted_.Reset(QuantDtype::kInt8, q.bytes());
+  q.accounted_.Reset(q.bytes());
   return q;
 }
 
@@ -138,57 +131,22 @@ Result<PackedInt8Matrix> PackForMatMulInt8(const Tensor& b) {
   pm.scales.resize(static_cast<size_t>(n));
   // Per-column symmetric quantization: each output feature j dequantizes
   // as scales[j] * q — the transpose of the activation-side per-row
-  // contract, with the same scale/clamp/rounding rules as QuantizeRowRef.
-  std::vector<int8_t> codes(static_cast<size_t>(k * n), 0);
+  // contract, so each gathered column goes through QuantizeRowRef itself.
+  std::vector<int8_t> codes(static_cast<size_t>(k * n));
+  std::vector<float> col(static_cast<size_t>(k));
+  std::vector<int8_t> qcol(static_cast<size_t>(k));
   const float* src = b.data();
   for (int64_t j = 0; j < n; ++j) {
-    float max_abs = 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float a = std::fabs(src[p * n + j]);
-      if (a > max_abs) max_abs = a;
-    }
-    if (max_abs == 0.0f) {
-      pm.scales[static_cast<size_t>(j)] = 0.0f;
-      continue;  // codes are already zero
-    }
-    const float inv = 127.0f / max_abs;
-    for (int64_t p = 0; p < k; ++p) {
-      long v = std::lrintf(src[p * n + j] * inv);
-      if (v > 127) v = 127;
-      if (v < -127) v = -127;
-      codes[static_cast<size_t>(p * n + j)] = static_cast<int8_t>(v);
-    }
-    pm.scales[static_cast<size_t>(j)] = max_abs / 127.0f;
+    for (int64_t p = 0; p < k; ++p) col.data()[p] = src[p * n + j];
+    kern::QuantizeRowRef(col.data(), k, qcol.data(), pm.scales.data() + j);
+    for (int64_t p = 0; p < k; ++p) codes.data()[p * n + j] = qcol.data()[p];
   }
   pm.packed.resize(static_cast<size_t>(kern::PackedSizeInt8(k, n)));
   kern::PackBInt8(codes.data(), k, n, pm.packed.data());
   pm.accounted.Reset(
-      QuantDtype::kInt8,
       static_cast<int64_t>(pm.packed.size() * sizeof(int16_t) +
                            pm.scales.size() * sizeof(float)));
   return pm;
-}
-
-Bf16Matrix Bf16FromTensor(const Tensor& t) {
-  Bf16Matrix m;
-  m.rows = t.rows();
-  m.cols = t.cols();
-  m.data.resize(static_cast<size_t>(t.numel()));
-  const float* src = t.data();
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    m.data[static_cast<size_t>(i)] = kern::Bf16FromF32(src[i]);
-  }
-  m.accounted.Reset(QuantDtype::kBf16, m.bytes());
-  return m;
-}
-
-Tensor TensorFromBf16(const Bf16Matrix& m) {
-  Tensor out(m.rows, m.cols);
-  float* dst = out.data();
-  for (size_t i = 0; i < m.data.size(); ++i) {
-    dst[i] = kern::F32FromBf16(m.data[i]);
-  }
-  return out;
 }
 
 Tensor MatMulInt8(const Tensor& a, const PackedInt8Matrix& b) {
@@ -216,50 +174,11 @@ Tensor MatMulInt8(const Tensor& a, const PackedInt8Matrix& b) {
     }
   });
   float* O = out.data();
-  auto row_chunk = [&](int64_t i0, int64_t i1) {
+  DispatchGemmRows(m, n, k, [&](int64_t i0, int64_t i1) {
     kern::Int8GemmPackedRowChunk(a16.data(), a_scales.data(),
                                  b.packed.data(), b.scales.data(), O, i0,
                                  i1, k, n);
-  };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  if (parallel) {
-    RELGRAPH_COUNTER_INC("gemm_parallel_total");
-  } else {
-    RELGRAPH_COUNTER_INC("gemm_serial_total");
-  }
-  RELGRAPH_COUNTER_ADD("gemm_flops_total", 2 * m * n * k);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
-  return out;
-}
-
-Tensor MatMulBf16(const Tensor& a, const Bf16Matrix& b) {
-  RELGRAPH_CHECK(a.cols() == b.rows)
-      << "matmul-bf16 shape mismatch: " << a.cols() << " vs " << b.rows;
-  Tensor out(a.rows(), b.cols);
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols;
-  if (m == 0 || k == 0 || n == 0) return out;
-  const float* A = a.data();
-  const uint16_t* B16 = b.data.data();
-  float* O = out.data();
-  auto row_chunk = [&](int64_t i0, int64_t i1) {
-    kern::Bf16GemmRowChunk(A, B16, O, i0, i1, k, n);
-  };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  if (parallel) {
-    RELGRAPH_COUNTER_INC("gemm_parallel_total");
-  } else {
-    RELGRAPH_COUNTER_INC("gemm_serial_total");
-  }
-  RELGRAPH_COUNTER_ADD("gemm_flops_total", 2 * m * n * k);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  });
   return out;
 }
 
@@ -272,14 +191,7 @@ EncodedEmbedding EncodedEmbedding::Encode(const float* src, int64_t n,
     case Precision::kFp32: {
       e.payload_.resize(static_cast<size_t>(n) * sizeof(float));
       std::memcpy(e.payload_.data(), src, e.payload_.size());
-      // fp32 is not a low-precision dtype; no registry entry.
-      break;
-    }
-    case Precision::kBf16: {
-      e.payload_.resize(static_cast<size_t>(n) * sizeof(uint16_t));
-      uint16_t* h = reinterpret_cast<uint16_t*>(e.payload_.data());
-      for (int64_t i = 0; i < n; ++i) h[i] = kern::Bf16FromF32(src[i]);
-      e.accounted_.Reset(QuantDtype::kBf16, e.bytes());
+      // fp32 is not a low-precision payload; not counted.
       break;
     }
     case Precision::kInt8: {
@@ -287,7 +199,7 @@ EncodedEmbedding EncodedEmbedding::Encode(const float* src, int64_t n,
       kern::QuantizeRowRef(src, n,
                            reinterpret_cast<int8_t*>(e.payload_.data()),
                            &e.scale_);
-      e.accounted_.Reset(QuantDtype::kInt8, e.bytes());
+      e.accounted_.Reset(e.bytes());
       break;
     }
   }
@@ -299,12 +211,6 @@ void EncodedEmbedding::Decode(float* dst) const {
     case Precision::kFp32: {
       std::memcpy(dst, payload_.data(),
                   static_cast<size_t>(dim_) * sizeof(float));
-      break;
-    }
-    case Precision::kBf16: {
-      const uint16_t* h =
-          reinterpret_cast<const uint16_t*>(payload_.data());
-      for (int64_t i = 0; i < dim_; ++i) dst[i] = kern::F32FromBf16(h[i]);
       break;
     }
     case Precision::kInt8: {

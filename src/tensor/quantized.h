@@ -12,13 +12,13 @@
 namespace relgraph {
 
 /// Numeric representation for serving-time storage and forwards. fp32 is
-/// the training representation and the byte-exact default; bf16 halves
-/// storage with ~8 significand bits; int8 quarters it with symmetric
-/// per-row affine codes. See docs/performance.md ("Low-precision
-/// kernels") for the full contract and measured accuracy deltas.
-enum class Precision { kFp32 = 0, kBf16 = 1, kInt8 = 2 };
+/// the training representation and the byte-exact default; int8 quarters
+/// storage with symmetric per-row affine codes. See docs/performance.md
+/// ("Low-precision kernels") for the full contract and measured accuracy
+/// deltas.
+enum class Precision { kFp32, kInt8 };
 
-/// "fp32" | "bf16" | "int8".
+/// "fp32" | "int8".
 const char* PrecisionName(Precision p);
 
 /// Parses a precision name (exact match); anything else is
@@ -37,8 +37,7 @@ Result<Precision> ParsePrecision(const std::string& s);
 /// Storage cost: n + 4 bytes per n-column row, vs 4n for fp32 — a 0.26x
 /// footprint at n=64 and asymptotically 0.25x.
 ///
-/// Move-only; payload bytes are registered with QuantBytesRegistry for
-/// the accountant.
+/// Move-only; payload bytes are counted in QuantResidentBytes.
 class QuantizedTensor {
  public:
   QuantizedTensor() = default;
@@ -122,47 +121,17 @@ struct PackedInt8Matrix {
 /// Non-finite entries are rejected with a precise error.
 Result<PackedInt8Matrix> PackForMatMulInt8(const Tensor& b);
 
-/// A dense matrix stored as bf16 (round-to-nearest-even truncation of
-/// fp32). Expansion back to fp32 is exact, so bf16 storage error is
-/// exactly one RNE rounding per element. Move-only; accounted.
-struct Bf16Matrix {
-  Bf16Matrix() = default;
-  Bf16Matrix(Bf16Matrix&&) noexcept = default;
-  Bf16Matrix& operator=(Bf16Matrix&&) noexcept = default;
-  Bf16Matrix(const Bf16Matrix&) = delete;
-  Bf16Matrix& operator=(const Bf16Matrix&) = delete;
-
-  int64_t rows = 0;
-  int64_t cols = 0;
-  std::vector<uint16_t> data;  ///< row-major bf16
-  ScopedQuantBytes accounted;
-
-  int64_t bytes() const {
-    return static_cast<int64_t>(data.size() * sizeof(uint16_t));
-  }
-};
-
-/// Round-trips `t` through bf16 storage.
-Bf16Matrix Bf16FromTensor(const Tensor& t);
-
-/// Exact fp32 expansion of a Bf16Matrix.
-Tensor TensorFromBf16(const Bf16Matrix& m);
-
 /// out = dequant(quant(a) @ b): activations are quantized per row on the
 /// fly (symmetric, same kern::QuantizeRowRef contract — `a` must be
 /// finite), accumulated in exact int32, and dequantized as
 /// (a_scale[i] * b.scales[j]) * float(acc). Bit-identical across thread
-/// counts and SIMD/scalar builds by construction. Parallel dispatch
-/// mirrors MatMul (same serial threshold and row grain).
+/// counts and SIMD/scalar builds by construction. Dispatches through
+/// DispatchGemmRows like every fp32 GEMM.
 Tensor MatMulInt8(const Tensor& a, const PackedInt8Matrix& b);
-
-/// out = a @ expand(b): fp32 GEMM against bf16-stored B, following the
-/// fp32 ascending-p accumulation contract after exact expansion.
-Tensor MatMulBf16(const Tensor& a, const Bf16Matrix& b);
 
 /// One embedding row encoded for the serving cache at a chosen storage
 /// precision. fp32 encodes losslessly (the cache behaves exactly as
-/// before); bf16/int8 encode lossily — the engine canonicalizes every
+/// before); int8 encodes lossily — the engine canonicalizes every
 /// freshly computed row through Encode→Decode before use, so a cache hit
 /// and a cache miss always see identical bytes (the caches-on/off
 /// bit-identity guarantee survives quantization).
@@ -192,7 +161,7 @@ class EncodedEmbedding {
   Precision precision_ = Precision::kFp32;
   int64_t dim_ = 0;
   float scale_ = 0.0f;            ///< int8 only
-  std::vector<uint8_t> payload_;  ///< codes / bf16 halves / raw fp32
+  std::vector<uint8_t> payload_;  ///< int8 codes / raw fp32
   ScopedQuantBytes accounted_;
 };
 

@@ -95,9 +95,9 @@ void PackB(const float* B, int64_t k, int64_t n, float* packed) {
 }
 
 // ------------------------------------------------------------------
-// Shared low-precision pieces. Quantization and bf16 conversion are
-// plain scalar code compiled identically in both builds, so the two
-// builds cannot disagree about a single stored byte.
+// Shared low-precision pieces. Quantization is plain scalar code
+// compiled identically in both builds, so the two builds cannot disagree
+// about a single stored byte.
 
 void QuantizeRowRef(const float* x, int64_t n, int8_t* q, float* scale) {
   float max_abs = 0.0f;
@@ -118,20 +118,6 @@ void QuantizeRowRef(const float* x, int64_t n, int8_t* q, float* scale) {
     q[i] = static_cast<int8_t>(v);
   }
   *scale = max_abs / 127.0f;
-}
-
-uint16_t Bf16FromF32(float x) {
-  const uint32_t u = std::bit_cast<uint32_t>(x);
-  if ((u & 0x7F800000u) == 0x7F800000u && (u & 0x007FFFFFu) != 0u) {
-    // Quiet the NaN so truncation can't produce an infinity bit pattern.
-    return static_cast<uint16_t>((u >> 16) | 0x0040u);
-  }
-  // Round-to-nearest-even on the truncated 16 mantissa bits.
-  return static_cast<uint16_t>((u + 0x7FFFu + ((u >> 16) & 1u)) >> 16);
-}
-
-float F32FromBf16(uint16_t h) {
-  return std::bit_cast<float>(static_cast<uint32_t>(h) << 16);
 }
 
 namespace {
@@ -584,59 +570,6 @@ inline void Int8Rows(const int16_t* A16, const float* a_scales,
   }
 }
 
-// Expands 8 bf16 values starting at p to fp32 lanes (exact bit shift).
-inline __m256 LoadBf16x8(const uint16_t* p) {
-  const __m128i h =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
-}
-
-template <int R>
-inline void Bf16TailCols(const float* A, const uint16_t* B16, float* O,
-                         int64_t i, int64_t j0, int64_t k, int64_t n) {
-  for (int64_t j = j0; j < n; ++j) {
-    float acc[R] = {};
-    for (int64_t p = 0; p < k; ++p) {
-      const float bv = F32FromBf16(B16[p * n + j]);
-      for (int r = 0; r < R; ++r) acc[r] += A[(i + r) * k + p] * bv;
-    }
-    for (int r = 0; r < R; ++r) O[(i + r) * n + j] = acc[r];
-  }
-}
-
-template <int R>
-inline void Bf16Rows(const float* A, const uint16_t* B16, float* O,
-                     int64_t i, int64_t k, int64_t n) {
-  const float* a[R];
-  for (int r = 0; r < R; ++r) a[r] = A + (i + r) * k;
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const uint16_t* bbase = B16 + j;
-    __m256 acc0[R], acc1[R];
-    for (int r = 0; r < R; ++r) {
-      acc0[r] = _mm256_setzero_ps();
-      acc1[r] = _mm256_setzero_ps();
-    }
-    for (int64_t p = 0; p < k; ++p) {
-      const uint16_t* bp = bbase + p * n;
-      const __m256 b0 = LoadBf16x8(bp);
-      const __m256 b1 = LoadBf16x8(bp + 8);
-      for (int r = 0; r < R; ++r) {
-        const __m256 va = _mm256_set1_ps(a[r][p]);
-        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(va, b0));
-        acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(va, b1));
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      float* orow = O + (i + r) * n + j;
-      _mm256_storeu_ps(orow, acc0[r]);
-      _mm256_storeu_ps(orow + 8, acc1[r]);
-    }
-  }
-  if (j < n) Bf16TailCols<R>(A, B16, O, i, j, k, n);
-}
-
 }  // namespace
 
 void Int8GemmPackedRowChunk(const int16_t* A16, const float* a_scales,
@@ -656,18 +589,6 @@ void Int8GemmPackedRowChunk(const int16_t* A16, const float* a_scales,
     case 3: Int8Rows<3>(A16, a_scales, packed_b, b_scales, O, i, k, n); break;
     case 2: Int8Rows<2>(A16, a_scales, packed_b, b_scales, O, i, k, n); break;
     case 1: Int8Rows<1>(A16, a_scales, packed_b, b_scales, O, i, k, n); break;
-    default: break;
-  }
-}
-
-void Bf16GemmRowChunk(const float* A, const uint16_t* B16, float* O,
-                      int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) Bf16Rows<4>(A, B16, O, i, k, n);
-  switch (i1 - i) {
-    case 3: Bf16Rows<3>(A, B16, O, i, k, n); break;
-    case 2: Bf16Rows<2>(A, B16, O, i, k, n); break;
-    case 1: Bf16Rows<1>(A, B16, O, i, k, n); break;
     default: break;
   }
 }
@@ -885,49 +806,6 @@ void Int8GemmPackedRowChunk(const int16_t* A16, const float* a_scales,
       }
       for (int64_t c = 0; c < w; ++c) {
         orow[j0 + c] = (sa * b_scales[j0 + c]) * static_cast<float>(acc[c]);
-      }
-    }
-  }
-}
-
-void Bf16GemmRowChunk(const float* A, const uint16_t* B16, float* O,
-                      int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  // Same shape as GemmRowChunk: four accumulating output rows per sweep,
-  // expanding each bf16 element exactly before the contractual
-  // round(a*b)-then-add in ascending p. O rows must be pre-zeroed.
-  for (int64_t jb = 0; jb < n; jb += kBlockJ) {
-    const int64_t je = std::min(n, jb + kBlockJ);
-    int64_t i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      const float* a0 = A + i * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      float* o0 = O + i * n;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-        const uint16_t* brow = B16 + p * n;
-        for (int64_t j = jb; j < je; ++j) {
-          const float bv = F32FromBf16(brow[j]);
-          o0[j] += v0 * bv;
-          o1[j] += v1 * bv;
-          o2[j] += v2 * bv;
-          o3[j] += v3 * bv;
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* arow = A + i * k;
-      float* orow = O + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        const uint16_t* brow = B16 + p * n;
-        for (int64_t j = jb; j < je; ++j) {
-          orow[j] += av * F32FromBf16(brow[j]);
-        }
       }
     }
   }

@@ -103,7 +103,7 @@ void PackB(const float* B, int64_t k, int64_t n, float* packed);
 
 // ------------------------------------------------- low-precision kernels
 //
-// Quantized/bf16 storage paths for the million-node regime. Same
+// Quantized storage paths for the million-node regime. Same
 // bit-identity discipline as the fp32 kernels:
 //
 //  - int8 GEMM accumulates in **exact int32 arithmetic** (|q| <= 127, so
@@ -112,10 +112,9 @@ void PackB(const float* B, int64_t k, int64_t n, float* packed);
 //    The dequant step is contractual: O[i][j] = (sa[i]*sb[j]) rounded
 //    once, then multiplied by float(acc) (int32→float is exact RNE in
 //    both builds).
-//  - bf16 GEMM expands bf16→fp32 exactly (bit shift) and then follows the
-//    fp32 ascending-p mul-then-add contract.
-//  - Quantize/encode helpers are shared scalar code, compiled identically
-//    in both builds.
+//  - QuantizeRowRef is shared scalar code, compiled identically in both
+//    builds; it is the one quantization rule (per row for activations and
+//    embeddings, per gathered column for packed weights).
 
 /// Largest inner dimension for which the int8 accumulator cannot overflow
 /// int32 (k * 127 * 127 < 2^31).
@@ -127,13 +126,6 @@ constexpr int64_t kInt8MaxK = (int64_t{1} << 31) / (127 * 127) - 1;
 /// scale = 0 and all-zero codes (dequantizes to exact zeros). Inputs must
 /// be finite — callers validate; see QuantizedTensor::FromTensor.
 void QuantizeRowRef(const float* x, int64_t n, int8_t* q, float* scale);
-
-/// bf16 round-to-nearest-even truncation of an fp32 value; NaN is quieted
-/// to a canonical bf16 NaN so the conversion is total.
-uint16_t Bf16FromF32(float x);
-
-/// Exact bf16 → fp32 expansion (bit shift; no rounding).
-float F32FromBf16(uint16_t h);
 
 /// int16 units needed to pack an int8 k×n matrix for Int8GemmPackedRowChunk:
 /// whole 16-column panels over k rounded up to an even count.
@@ -157,12 +149,6 @@ void Int8GemmPackedRowChunk(const int16_t* A16, const float* a_scales,
                             const int16_t* packed_b, const float* b_scales,
                             float* O, int64_t i0, int64_t i1, int64_t k,
                             int64_t n);
-
-/// Output rows [i0, i1) of A(m×k, fp32) @ B16(k×n, bf16): each B element
-/// is expanded to fp32 exactly, then the fp32 GEMM contract applies
-/// (round(a*b) then add, ascending p).
-void Bf16GemmRowChunk(const float* A, const uint16_t* B16, float* O,
-                      int64_t i0, int64_t i1, int64_t k, int64_t n);
 
 // ----------------------------------------------------- dot-product contract
 

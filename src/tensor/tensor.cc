@@ -14,42 +14,17 @@ namespace relgraph {
 
 namespace {
 
-// Tensors below these sizes run serially: pool synchronization would
-// dominate on the small matrices that make up most autograd glue. The
-// thresholds only route between code paths that produce identical bits,
-// so they are pure scheduling knobs.
-constexpr int64_t kGemmSerialFlops = 1 << 15;
+// Elementwise tensors below this size run serially: pool synchronization
+// would dominate on the small matrices that make up most autograd glue.
+// The threshold only routes between code paths that produce identical
+// bits, so it is a pure scheduling knob (the GEMM knobs live in tensor.h).
 constexpr int64_t kElemSerial = 1 << 15;
 
-// Parallel grains. GEMMs split over output rows; elementwise ops split
-// over the flat buffer. Reductions use kReduceGrain as their fixed chunk
-// size — part of the numeric contract, never a function of thread count.
-constexpr int64_t kGemmRowGrain = 8;
+// Parallel grains. Elementwise ops split over the flat buffer. Reductions
+// use kReduceGrain as their fixed chunk size — part of the numeric
+// contract, never a function of thread count.
 constexpr int64_t kElemGrain = 1 << 14;
 constexpr int64_t kReduceGrain = 1 << 15;
-
-// Counts a GEMM dispatch: which route it took and the FLOPs it performed.
-// Cached pointers keep the enabled path at two relaxed adds; the disabled
-// path is a single relaxed load.
-inline void NoteGemmDispatch(int64_t m, int64_t n, int64_t k,
-                             bool parallel) {
-#ifndef RELGRAPH_NO_METRICS
-  if (!MetricsEnabled()) return;
-  static Counter* serial_total =
-      MetricsRegistry::Global().GetCounter("gemm_serial_total");
-  static Counter* parallel_total =
-      MetricsRegistry::Global().GetCounter("gemm_parallel_total");
-  static Counter* flops_total =
-      MetricsRegistry::Global().GetCounter("gemm_flops_total");
-  (parallel ? parallel_total : serial_total)->Add(1);
-  flops_total->Add(2 * m * n * k);
-#else
-  (void)m;
-  (void)n;
-  (void)k;
-  (void)parallel;
-#endif
-}
 
 }  // namespace
 
@@ -301,7 +276,26 @@ std::string Tensor::ToString() const {
   return s;
 }
 
-// All four GEMMs parallelize over chunks of output rows and delegate the
+bool GemmRunsParallel(int64_t m, int64_t n, int64_t k) {
+  const bool parallel = m * n * k >= kGemmSerialFlops;
+#ifndef RELGRAPH_NO_METRICS
+  // Cached pointers keep the enabled path at two relaxed adds; the
+  // disabled path is a single relaxed load.
+  if (MetricsEnabled()) {
+    static Counter* serial_total =
+        MetricsRegistry::Global().GetCounter("gemm_serial_total");
+    static Counter* parallel_total =
+        MetricsRegistry::Global().GetCounter("gemm_parallel_total");
+    static Counter* flops_total =
+        MetricsRegistry::Global().GetCounter("gemm_flops_total");
+    (parallel ? parallel_total : serial_total)->Add(1);
+    flops_total->Add(2 * m * n * k);
+  }
+#endif
+  return parallel;
+}
+
+// All four GEMMs dispatch through DispatchGemmRows and delegate the
 // chunk bodies to the kern:: microkernels (AVX2 or the portable twins —
 // bit-identical either way; see simd_kernels.h for the numeric contract).
 // For any fixed output element the accumulation order over the inner
@@ -317,16 +311,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* A = a.data();
   const float* B = b.data();
   float* O = out.data();
-  auto row_chunk = [&](int64_t i0, int64_t i1) {
+  DispatchGemmRows(m, n, k, [&](int64_t i0, int64_t i1) {
     kern::GemmRowChunk(A, B, O, i0, i1, k, n);
-  };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  });
   return out;
 }
 
@@ -355,16 +342,9 @@ Tensor MatMulPacked(const Tensor& a, const PackedMatrix& b) {
   const float* A = a.data();
   const float* P = b.data.data();
   float* O = out.data();
-  auto row_chunk = [&](int64_t i0, int64_t i1) {
+  DispatchGemmRows(m, n, k, [&](int64_t i0, int64_t i1) {
     kern::GemmPackedRowChunk(A, P, O, i0, i1, k, n);
-  };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  });
   return out;
 }
 
@@ -377,16 +357,9 @@ Tensor MatMulBT(const Tensor& a, const Tensor& b) {
   const float* A = a.data();
   const float* B = b.data();
   float* O = out.data();
-  auto row_chunk = [&](int64_t i0, int64_t i1) {
+  DispatchGemmRows(m, n, k, [&](int64_t i0, int64_t i1) {
     kern::GemmBTRowChunk(A, B, O, i0, i1, k, n);
-  };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  });
   return out;
 }
 
@@ -399,16 +372,9 @@ Tensor MatMulAT(const Tensor& a, const Tensor& b) {
   const float* A = a.data();
   const float* B = b.data();
   float* O = out.data();
-  auto row_chunk = [&](int64_t i0, int64_t i1) {
+  DispatchGemmRows(m, n, k, [&](int64_t i0, int64_t i1) {
     kern::GemmATRowChunk(A, B, O, i0, i1, m, k, n);
-  };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  });
   return out;
 }
 

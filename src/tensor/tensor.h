@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.h"
+
 namespace relgraph {
 
 /// Dense row-major float32 matrix (the only tensor rank the GNN stack
@@ -136,6 +138,33 @@ struct PackedMatrix {
   int64_t cols = 0;          ///< logical n of the source k×n matrix
   std::vector<float> data;   ///< panel-layout buffer
 };
+
+/// GEMM scheduling knobs, shared by every GEMM (fp32 and int8). GEMMs
+/// below kGemmSerialFlops (m·n·k) run inline: pool synchronization would
+/// dominate on the small matrices that make up most autograd glue. Larger
+/// ones split over output rows in chunks of kGemmRowGrain. Each output
+/// element's accumulation order is fixed by the kernel contract, so the
+/// route never changes a bit; these are pure scheduling knobs.
+inline constexpr int64_t kGemmSerialFlops = 1 << 15;
+inline constexpr int64_t kGemmRowGrain = 8;
+
+/// The GEMM routing decision: true when an m×k @ k×n GEMM should run on
+/// the pool. Also counts the dispatch: one to gemm_parallel_total or
+/// gemm_serial_total, and 2·m·n·k to gemm_flops_total.
+bool GemmRunsParallel(int64_t m, int64_t n, int64_t k);
+
+/// Runs an m×k @ k×n GEMM's output-row chunk body `row_chunk(i0, i1)`:
+/// directly over [0, m) on the serial route, else through ParallelFor.
+/// Every GEMM entry point dispatches through here.
+template <typename RowChunk>
+void DispatchGemmRows(int64_t m, int64_t n, int64_t k,
+                      const RowChunk& row_chunk) {
+  if (GemmRunsParallel(m, n, k)) {
+    ParallelFor(0, m, kGemmRowGrain, row_chunk);
+  } else {
+    row_chunk(0, m);
+  }
+}
 
 /// Packs `b` for reuse as the right operand of MatMulPacked.
 PackedMatrix PackForMatMul(const Tensor& b);

@@ -146,6 +146,13 @@ struct GradCase {
   int64_t cols;
 };
 
+// Prints the op name rather than the raw bytes of the struct: the default
+// byte dump includes the `op` pointer, which differs from run to run under
+// ASLR, so the discovered test names would never be the same twice.
+void PrintTo(const GradCase& c, std::ostream* os) {
+  *os << c.op << " " << c.rows << "x" << c.cols;
+}
+
 class AutogradSweepTest : public testing::TestWithParam<GradCase> {};
 
 TEST_P(AutogradSweepTest, NumericalGradientMatches) {

@@ -3,9 +3,9 @@
 // (all-zero rows, single-element rows, non-finite rejection, int8
 // saturation), bit-identical results across thread counts, quantized
 // node-feature storage on HeteroGraph / the graph builder, the
-// EncodedEmbedding cache codec, per-dtype byte accounting, and the
-// serving-side precision modes (ServeOptions / ServePlan /
-// RELGRAPH_PRECISION).
+// EncodedEmbedding cache codec, resident-byte accounting, the shared GEMM
+// dispatch counters, and the serving-side precision modes (ServeOptions /
+// ServePlan / RELGRAPH_PRECISION).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/buffer_pool.h"
+#include "core/metrics.h"
 #include "core/parallel.h"
 #include "datagen/ecommerce.h"
 #include "db2graph/graph_builder.h"
@@ -103,20 +104,6 @@ TEST(QuantizeRowTest, RoundTripErrorBoundedByHalfScale) {
     EXPECT_LE(std::fabs(deq - t.data()[c]), 0.5f * scale + 1e-6f)
         << "col " << c;
   }
-}
-
-TEST(Bf16Test, RoundTripIsOneRneRounding) {
-  // Exactly representable values survive unchanged.
-  for (float v : {0.0f, 1.0f, -2.0f, 0.5f, 256.0f, -0.015625f}) {
-    EXPECT_EQ(kern::F32FromBf16(kern::Bf16FromF32(v)), v);
-  }
-  // 1 + 2^-8 is exactly halfway between bf16 neighbors 1.0 and 1+2^-7;
-  // round-to-nearest-EVEN picks 1.0 (even significand).
-  EXPECT_EQ(kern::F32FromBf16(kern::Bf16FromF32(1.00390625f)), 1.0f);
-  // NaN stays NaN (quieted), infinities stay infinite.
-  EXPECT_TRUE(std::isnan(kern::F32FromBf16(kern::Bf16FromF32(kNan))));
-  EXPECT_EQ(kern::F32FromBf16(kern::Bf16FromF32(kInf)), kInf);
-  EXPECT_EQ(kern::F32FromBf16(kern::Bf16FromF32(-kInf)), -kInf);
 }
 
 // --------------------------------------------------------- QuantizedTensor
@@ -225,32 +212,26 @@ TEST(QuantizedTensorTest, StorageIsAtMost035xOfFp32) {
 }
 
 TEST(QuantizedTensorTest, BytesAreAccountedWhileResident) {
-  auto& reg = QuantBytesRegistry::Global();
-  const int64_t before = reg.resident(QuantDtype::kInt8);
+  const int64_t before = QuantResidentBytes();
   {
     auto q = QuantizedTensor::FromTensor(FillTensor(32, 16, 2.0f));
     ASSERT_TRUE(q.ok());
-    EXPECT_EQ(reg.resident(QuantDtype::kInt8),
-              before + q.value().bytes());
+    EXPECT_EQ(QuantResidentBytes(), before + q.value().bytes());
     QuantizedTensor clone = q.value().Clone();
-    EXPECT_EQ(reg.resident(QuantDtype::kInt8),
-              before + 2 * q.value().bytes());
+    EXPECT_EQ(QuantResidentBytes(), before + 2 * q.value().bytes());
+    QuantizedTensor moved = std::move(clone);
+    EXPECT_EQ(QuantResidentBytes(), before + 2 * q.value().bytes());
   }
-  EXPECT_EQ(reg.resident(QuantDtype::kInt8), before);
-
-  const int64_t bf16_before = reg.resident(QuantDtype::kBf16);
-  {
-    Bf16Matrix m = Bf16FromTensor(FillTensor(8, 10, 2.0f));
-    EXPECT_EQ(reg.resident(QuantDtype::kBf16), bf16_before + m.bytes());
-  }
-  EXPECT_EQ(reg.resident(QuantDtype::kBf16), bf16_before);
+  EXPECT_EQ(QuantResidentBytes(), before);
 }
 
 // ------------------------------------------------------------ int8 GEMM
 
 /// Scalar reference: quantize both sides per the symmetric contract,
-/// accumulate in int64 (trivially exact), dequantize once.
-Tensor ReferenceInt8MatMul(const Tensor& a, const Tensor& b) {
+/// accumulate in int64 (trivially exact), dequantize once. `b_scales`
+/// receives QuantizeRowRef's scale for each column of `b`.
+Tensor ReferenceInt8MatMul(const Tensor& a, const Tensor& b,
+                           std::vector<float>* b_scales) {
   const int64_t m = a.rows(), k = a.cols(), n = b.cols();
   std::vector<int8_t> qa(static_cast<size_t>(m * k));
   std::vector<float> sa(static_cast<size_t>(m));
@@ -263,7 +244,8 @@ Tensor ReferenceInt8MatMul(const Tensor& a, const Tensor& b) {
     for (int64_t j = 0; j < n; ++j) bt.at(j, p) = b.at(p, j);
   }
   std::vector<int8_t> qb(static_cast<size_t>(n * k));
-  std::vector<float> sb(static_cast<size_t>(n));
+  std::vector<float>& sb = *b_scales;
+  sb.assign(static_cast<size_t>(n), -1.0f);
   for (int64_t j = 0; j < n; ++j) {
     kern::QuantizeRowRef(bt.data() + j * k, k, qb.data() + j * k, &sb[j]);
   }
@@ -289,10 +271,15 @@ TEST(Int8GemmTest, MatchesExactIntegerReferenceAtOddShapes) {
            {1, 1, 1}, {3, 5, 7}, {4, 16, 17}, {7, 33, 31}, {16, 64, 100}}) {
     Tensor a = FillTensor(s.m, s.k, 4.0f, 17);
     Tensor b = FillTensor(s.k, s.n, 2.0f, 19);
+    for (int64_t p = 0; p < s.k; ++p) b.at(p, s.n / 2) = 0.0f;
     auto packed = PackForMatMulInt8(b);
     ASSERT_TRUE(packed.ok());
     Tensor got = MatMulInt8(a, packed.value());
-    Tensor want = ReferenceInt8MatMul(a, b);
+    std::vector<float> col_scales;
+    Tensor want = ReferenceInt8MatMul(a, b, &col_scales);
+    // One quantization rule: the packer's per-column scales are exactly
+    // QuantizeRowRef's on each gathered column (the zero column too).
+    EXPECT_EQ(packed.value().scales, col_scales);
     for (int64_t i = 0; i < s.m; ++i) {
       for (int64_t j = 0; j < s.n; ++j) {
         EXPECT_EQ(got.at(i, j), want.at(i, j))
@@ -332,40 +319,45 @@ TEST(Int8GemmTest, PackRejectsNonFinite) {
       << packed.status().message();
 }
 
-TEST(Bf16GemmTest, MatchesFp32GemmOnExpandedWeights) {
-  // Bf16GemmRowChunk follows the fp32 ascending-p contract after exact
-  // expansion, so it is bitwise MatMul(a, expand(b)) at any shape.
-  for (int64_t n : {1, 7, 17, 40}) {
-    Tensor a = FillTensor(9, 21, 2.0f, 31);
-    Tensor b = FillTensor(21, n, 2.0f, 37);
-    Bf16Matrix b16 = Bf16FromTensor(b);
-    Tensor got = MatMulBf16(a, b16);
-    Tensor want = MatMul(a, TensorFromBf16(b16));
-    for (int64_t p = 0; p < got.numel(); ++p) {
-      ASSERT_EQ(got.data()[p], want.data()[p]) << "n=" << n << " elt " << p;
-    }
-  }
-}
+// ------------------------------------------------------- GEMM dispatch
 
-TEST(Bf16GemmTest, BitIdenticalAcrossThreadCounts) {
-  Tensor a = FillTensor(96, 48, 3.0f, 41);
-  Bf16Matrix b16 = Bf16FromTensor(FillTensor(48, 40, 3.0f, 43));
-  std::vector<Tensor> results;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool::SetNumThreadsForTesting(threads);
-    results.push_back(MatMulBf16(a, b16));
-  }
-  ThreadPool::SetNumThreadsForTesting(1);
-  for (size_t i = 1; i < results.size(); ++i) {
-    for (int64_t p = 0; p < results[0].numel(); ++p) {
-      ASSERT_EQ(results[i].data()[p], results[0].data()[p]) << "elt " << p;
-    }
+TEST(GemmDispatchTest, EveryGemmCountsItsRouteAndFlops) {
+  // All five GEMMs share one dispatcher: the serial route below
+  // kGemmSerialFlops (m·n·k), the parallel one at or above it, and
+  // 2·m·n·k FLOPs either way.
+  SetMetricsEnabled(true);
+  auto& reg = MetricsRegistry::Global();
+  Counter* serial = reg.GetCounter("gemm_serial_total");
+  Counter* parallel = reg.GetCounter("gemm_parallel_total");
+  Counter* flops = reg.GetCounter("gemm_flops_total");
+  for (const int64_t m : {4, 64}) {  // m x 32 @ 32 x 32
+    const int64_t mnk = m * 32 * 32;
+    const bool big = mnk >= kGemmSerialFlops;
+    ASSERT_EQ(big, m == 64);
+    const Tensor a = FillTensor(m, 32, 1.0f, 3);
+    const Tensor at = FillTensor(32, m, 1.0f, 5);
+    const Tensor b = FillTensor(32, 32, 1.0f, 7);
+    const PackedMatrix packed = PackForMatMul(b);
+    const PackedInt8Matrix packed8 = PackForMatMulInt8(b).value();
+    auto check = [&](const char* name, const auto& gemm) {
+      const int64_t s0 = serial->value(), p0 = parallel->value();
+      const int64_t f0 = flops->value();
+      EXPECT_EQ(gemm().rows(), m) << name;
+      EXPECT_EQ(serial->value() - s0, big ? 0 : 1) << name << " m=" << m;
+      EXPECT_EQ(parallel->value() - p0, big ? 1 : 0) << name << " m=" << m;
+      EXPECT_EQ(flops->value() - f0, 2 * mnk) << name << " m=" << m;
+    };
+    check("MatMul", [&] { return MatMul(a, b); });
+    check("MatMulPacked", [&] { return MatMulPacked(a, packed); });
+    check("MatMulBT", [&] { return MatMulBT(a, b); });
+    check("MatMulAT", [&] { return MatMulAT(at, b); });
+    check("MatMulInt8", [&] { return MatMulInt8(a, packed8); });
   }
 }
 
 // ----------------------------------------------------- EncodedEmbedding
 
-TEST(EncodedEmbeddingTest, Fp32IsLosslessBf16AndInt8MatchTheirCodecs) {
+TEST(EncodedEmbeddingTest, Fp32IsLosslessAndInt8MatchesItsCodec) {
   Tensor row = FillTensor(1, 24, 6.0f, 47);
   std::vector<float> dst(24);
 
@@ -374,15 +366,6 @@ TEST(EncodedEmbeddingTest, Fp32IsLosslessBf16AndInt8MatchTheirCodecs) {
   f.Decode(dst.data());
   for (int64_t c = 0; c < 24; ++c) EXPECT_EQ(dst[c], row.data()[c]);
   EXPECT_EQ(f.bytes(), 24 * static_cast<int64_t>(sizeof(float)));
-
-  EncodedEmbedding h = EncodedEmbedding::Encode(row.data(), 24,
-                                                Precision::kBf16);
-  h.Decode(dst.data());
-  for (int64_t c = 0; c < 24; ++c) {
-    EXPECT_EQ(dst[c],
-              kern::F32FromBf16(kern::Bf16FromF32(row.data()[c])));
-  }
-  EXPECT_EQ(h.bytes(), 24 * 2);
 
   EncodedEmbedding q = EncodedEmbedding::Encode(row.data(), 24,
                                                 Precision::kInt8);
@@ -490,14 +473,18 @@ TEST(QuantizedFeaturesTest, GraphBuilderOptInQuantizesEveryFeatureType) {
 // --------------------------------------------------------- precision names
 
 TEST(PrecisionTest, NamesRoundTripAndBadNamesError) {
-  for (Precision p :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+  for (Precision p : {Precision::kFp32, Precision::kInt8}) {
     auto parsed = ParsePrecision(PrecisionName(p));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), p);
   }
-  EXPECT_FALSE(ParsePrecision("fp16").ok());
-  EXPECT_FALSE(ParsePrecision("").ok());
+  for (const char* bad : {"fp16", "", "bf16"}) {
+    auto parsed = ParsePrecision(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_NE(parsed.status().message().find("(want fp32 | int8)"),
+              std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 // ------------------------------------------------------- serving fixture
@@ -590,8 +577,7 @@ TEST_F(QuantServeTest, EveryPrecisionIsCacheInvariant) {
   // The canonicalized-embedding contract: in each mode, scores are
   // bit-identical with caches on (first call: all misses), caches on
   // (second call: all hits), and caches off.
-  for (Precision p :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+  for (Precision p : {Precision::kFp32, Precision::kInt8}) {
     ServeOptions on;
     on.precision = p;
     ServeOptions off = on;
@@ -617,20 +603,17 @@ TEST_F(QuantServeTest, LowPrecisionScoresTrackFp32) {
   ServeOptions fp32;
   auto base = MakeEngine(fp32)->Score(Ids());
   ASSERT_TRUE(base.ok());
-  for (Precision p : {Precision::kBf16, Precision::kInt8}) {
-    ServeOptions low;
-    low.precision = p;
-    auto scores = MakeEngine(low)->Score(Ids());
-    ASSERT_TRUE(scores.ok());
-    ASSERT_EQ(scores.value().size(), base.value().size());
-    for (size_t i = 0; i < scores.value().size(); ++i) {
-      EXPECT_GT(scores.value()[i], 0.0);
-      EXPECT_LT(scores.value()[i], 1.0);
-      // Quantization shifts probabilities but must not wreck them: the
-      // 16-dim model's observed deltas are < 0.02; allow 10x headroom.
-      EXPECT_NEAR(scores.value()[i], base.value()[i], 0.2)
-          << PrecisionName(p) << " id " << i;
-    }
+  ServeOptions low;
+  low.precision = Precision::kInt8;
+  auto scores = MakeEngine(low)->Score(Ids());
+  ASSERT_TRUE(scores.ok());
+  ASSERT_EQ(scores.value().size(), base.value().size());
+  for (size_t i = 0; i < scores.value().size(); ++i) {
+    EXPECT_GT(scores.value()[i], 0.0);
+    EXPECT_LT(scores.value()[i], 1.0);
+    // Quantization shifts probabilities but must not wreck them: the
+    // 16-dim model's observed deltas are < 0.02; allow 10x headroom.
+    EXPECT_NEAR(scores.value()[i], base.value()[i], 0.2) << "id " << i;
   }
 }
 
@@ -652,14 +635,22 @@ TEST_F(QuantServeTest, EnvVarOverridesConfiguredPrecision) {
   auto scores = engine->Score(Ids());
   ASSERT_TRUE(scores.ok());
 
-  // ...and an invalid value is ignored (loudly), keeping the configured
-  // mode.
-  ASSERT_EQ(setenv("RELGRAPH_PRECISION", "float8", 1), 0);
-  ServeOptions bf16;
-  bf16.precision = Precision::kBf16;
-  EXPECT_EQ(MakeEngine(bf16)->precision(), Precision::kBf16);
+  // ...and an invalid value (bf16 included: it is no longer a mode) is
+  // ignored loudly, keeping the configured mode.
+  ServeOptions int8;
+  int8.precision = Precision::kInt8;
+  for (const char* bad : {"float8", "bf16"}) {
+    ASSERT_EQ(setenv("RELGRAPH_PRECISION", bad, 1), 0);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(MakeEngine(int8)->precision(), Precision::kInt8) << bad;
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("ignoring invalid RELGRAPH_PRECISION"),
+              std::string::npos)
+        << log;
+    EXPECT_NE(log.find("(want fp32 | int8)"), std::string::npos) << log;
+  }
   ASSERT_EQ(unsetenv("RELGRAPH_PRECISION"), 0);
-  EXPECT_EQ(MakeEngine(bf16)->precision(), Precision::kBf16);
+  EXPECT_EQ(MakeEngine(int8)->precision(), Precision::kInt8);
 }
 
 TEST_F(QuantServeTest, NonFp32LoadRejectsNonFiniteCheckpoints) {
@@ -716,9 +707,13 @@ TEST_F(QuantServeTest, ServePlanCarriesWithPrecision) {
   auto fp32_plan = pq.CompileForServing(std::string(kQuery) + " USING GNN");
   ASSERT_TRUE(fp32_plan.ok());
   EXPECT_EQ(fp32_plan.value().precision, Precision::kFp32);
-  EXPECT_FALSE(pq.CompileForServing(std::string(kQuery) +
-                                    " USING GNN WITH precision='fp64'")
-                   .ok());
+  for (const char* bad : {"fp64", "bf16"}) {
+    EXPECT_FALSE(pq.CompileForServing(std::string(kQuery) +
+                                      " USING GNN WITH precision='" + bad +
+                                      "'")
+                     .ok())
+        << bad;
+  }
 }
 
 TEST_F(QuantServeTest, QuantizedFeatureGraphServesAllPrecisions) {
@@ -732,8 +727,7 @@ TEST_F(QuantServeTest, QuantizedFeatureGraphServesAllPrecisions) {
   ASSERT_LT(qdbg.value().graph.FeatureBytes(),
             dbg_->graph.FeatureBytes());
 
-  for (Precision p :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+  for (Precision p : {Precision::kFp32, Precision::kInt8}) {
     ServeOptions serve;
     serve.precision = p;
     InferenceEngine engine(&qdbg.value().graph, users_,
